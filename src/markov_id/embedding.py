@@ -25,9 +25,7 @@ from .markov_core import (
     RationalStationary,
     StationaryDistribution,
     TransitionMatrix,
-    is_irreducible,
-    is_reversible,
-    stationary_distribution,
+    check_reference_class,
 )
 from .errors import (
     EdgeMismatchError,
@@ -141,15 +139,17 @@ class Symmetrizer:
 
 
 def embedded_edge_set(edges: EdgeSet, lumping: LumpingMap) -> EdgeSet:
-    """Edges of the embedded chain: block(a) x block(b) for each edge (a, b)."""
-    blocks = lumping.blocks
-    pairs = [
-        (y, y2)
-        for a, b in edges.edges
-        for y in blocks[a]
-        for y2 in blocks[b]
-    ]
-    return EdgeSet.from_pairs(lumping.source_count, pairs)
+    """Edges of the embedded chain: block(a) x block(b) for each edge (a, b).
+
+    Equivalently, (y, y') is an edge exactly when (kappa(y), kappa(y')) is,
+    so the embedded mask is the small mask indexed by kappa on both axes.
+    """
+    if edges.state_count != lumping.target_count:
+        raise IncompatibleStateCountError(
+            f"edge set has {edges.state_count} states, lumping maps onto {lumping.target_count}"
+        )
+    assign = lumping.assignment
+    return EdgeSet.from_mask(edges.mask()[assign][:, assign])
 
 
 def induced_edge_image(lumping: LumpingMap, edges: EdgeSet) -> EdgeSet:
@@ -159,12 +159,14 @@ def induced_edge_image(lumping: LumpingMap, edges: EdgeSet) -> EdgeSet:
             f"edge set has {edges.state_count} states, lumping expects {lumping.source_count}"
         )
     assign = lumping.assignment
-    pairs = {(int(assign[y]), int(assign[y2])) for y, y2 in edges.edges}
-    return EdgeSet.from_pairs(lumping.target_count, pairs)
+    rows, cols = np.nonzero(edges.mask())
+    image = np.zeros((lumping.target_count, lumping.target_count), dtype=bool)
+    image[assign[rows], assign[cols]] = True
+    return EdgeSet.from_mask(image)
 
 
-def is_lumpable(P: TransitionMatrix, lumping: LumpingMap, tol: float = LUMPABILITY_TOL) -> bool:
-    """Strong lumpability: row sums into each block are constant on blocks."""
+def _lumped_rows(P: TransitionMatrix, lumping: LumpingMap, tol: float) -> np.ndarray | None:
+    """Row sums of P into each block, one row per block; None if not lumpable."""
     if P.state_count != lumping.source_count:
         raise IncompatibleStateCountError(
             f"matrix has {P.state_count} states, lumping expects {lumping.source_count}"
@@ -172,24 +174,23 @@ def is_lumpable(P: TransitionMatrix, lumping: LumpingMap, tol: float = LUMPABILI
     indicator = np.zeros((lumping.source_count, lumping.target_count))
     indicator[np.arange(lumping.source_count), lumping.assignment] = 1.0
     into_blocks = P.matrix @ indicator
-    for block in lumping.blocks:
-        rows = into_blocks[list(block)]
-        if np.abs(rows - rows[0]).max() > tol:
-            return False
-    return True
+    small = into_blocks[[block[0] for block in lumping.blocks]]
+    if np.abs(into_blocks - small[lumping.assignment]).max() > tol:
+        return None
+    return small
+
+
+def is_lumpable(P: TransitionMatrix, lumping: LumpingMap, tol: float = LUMPABILITY_TOL) -> bool:
+    """Strong lumpability: row sums into each block are constant on blocks."""
+    return _lumped_rows(P, lumping, tol) is not None
 
 
 def lump(P: TransitionMatrix, lumping: LumpingMap, tol: float = LUMPABILITY_TOL) -> TransitionMatrix:
     """Quotient chain of a lumpable matrix, one row per block."""
-    if not is_lumpable(P, lumping, tol):
+    small = _lumped_rows(P, lumping, tol)
+    if small is None:
         raise NotLumpableError("row sums into blocks differ within a block")
-    indicator = np.zeros((lumping.source_count, lumping.target_count))
-    indicator[np.arange(lumping.source_count), lumping.assignment] = 1.0
-    into_blocks = P.matrix @ indicator
-    reps = [block[0] for block in lumping.blocks]
-    small = into_blocks[reps]
-    small = small / small.sum(axis=1, keepdims=True)
-    return TransitionMatrix.from_dense(small)
+    return TransitionMatrix.from_dense(small / small.sum(axis=1, keepdims=True))
 
 
 def embed_matrix(P: TransitionMatrix, emb: MemorylessEmbedding) -> TransitionMatrix:
@@ -241,15 +242,12 @@ def symmetry_defect(sym: Symmetrizer, ref: TransitionMatrix) -> float:
     """Max |M - M^T| over the matrix M of the reference embedded through `sym`.
 
     Zero (up to float error) exactly when the reference is reversible with
-    stationary law `sym.rational`; raises when those preconditions fail.
+    stationary law `sym.rational`; raises when those preconditions, the
+    restricted-class check anchored at the reference's own edges, fail.
     """
-    if not is_irreducible(ref):
-        raise PreconditionFailedError("reference chain must be irreducible")
-    pi = stationary_distribution(ref)
-    if not is_reversible(ref, pi):
-        raise PreconditionFailedError("reference chain must be reversible")
-    if float(np.abs(pi.probs - sym.rational.probs).max()) > 1e-9:
-        raise PreconditionFailedError("reference stationary law differs from the symmetrizer's")
+    report = check_reference_class(ref, sym.rational, ref.edges)
+    if not report:
+        raise PreconditionFailedError("symmetrizer precondition: " + "; ".join(report.failures))
     big = embed_matrix(ref, sym.embedding)
     return float(np.abs(big.matrix - big.matrix.T).max())
 

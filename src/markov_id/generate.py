@@ -59,7 +59,7 @@ def random_reversible(
     positive.
     """
     n = rational.state_count
-    if any((x, x) not in edges.edges for x in range(n)):
+    if any((x, x) not in edges for x in range(n)):
         raise ValueError("edge set must contain every self-loop")
     pi = rational.probs
     mask = edges.mask()

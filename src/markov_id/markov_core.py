@@ -55,67 +55,79 @@ def strongly_connected(support: np.ndarray) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class EdgeSet:
-    """Directed edges over states ``0 .. state_count-1``.
+    """Directed edges over states ``0 .. state_count-1``, as a read-only bool mask.
 
-    Every state must occur as a source and as a target; strong connectivity
-    is *not* assumed here, it is what :func:`is_irreducible` checks.
+    ``mask()[a, b]`` is true exactly when ``(a, b)`` is an edge, and the
+    state count is the mask's side. Every state must occur as a source and
+    as a target; strong connectivity is *not* assumed here, it is what
+    :func:`is_irreducible` checks.
     """
 
-    state_count: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        if self.state_count < 1:
-            raise ValueError("state_count must be positive")
-        pairs = frozenset((int(a), int(b)) for a, b in self.edges)
-        object.__setattr__(self, "edges", pairs)
-        if not pairs:
+    def __init__(self, mask: np.ndarray):
+        mask = np.array(mask, dtype=bool)
+        if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
+            raise ValueError(f"edge mask must be square, got shape {mask.shape}")
+        if not mask.any():  # also catches a mask over zero states
             raise ValueError("edge set is empty")
-        for a, b in pairs:
-            if not (0 <= a < self.state_count and 0 <= b < self.state_count):
-                raise ValueError(f"edge ({a},{b}) out of range for {self.state_count} states")
-        sources = {a for a, _ in pairs}
-        targets = {b for _, b in pairs}
-        missing = set(range(self.state_count)) - (sources & targets)
-        if missing:
-            raise ValueError(f"states {sorted(missing)} lack an outgoing or incoming edge")
+        missing = np.flatnonzero(~(mask.any(axis=1) & mask.any(axis=0)))
+        if missing.size:
+            raise ValueError(f"states {missing.tolist()} lack an outgoing or incoming edge")
+        mask.setflags(write=False)
+        self._mask = mask
 
     @classmethod
     def from_pairs(cls, state_count: int, pairs: Iterable[tuple[int, int]]) -> EdgeSet:
-        return cls(state_count, frozenset((a, b) for a, b in pairs))
+        idx = np.array([(a, b) for a, b in pairs], dtype=np.int64).reshape(-1, 2)
+        bad = ((idx < 0) | (idx >= state_count)).any(axis=1)
+        if bad.any():
+            a, b = idx[bad][0].tolist()
+            raise ValueError(f"edge ({a},{b}) out of range for {state_count} states")
+        mask = np.zeros((state_count, state_count), dtype=bool)
+        mask[idx[:, 0], idx[:, 1]] = True
+        return cls(mask)
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> EdgeSet:
-        mask = np.asarray(mask, dtype=bool)
-        rows, cols = np.nonzero(mask)
-        return cls.from_pairs(mask.shape[0], zip(rows.tolist(), cols.tolist()))
+        """Edges where `mask` is nonzero; the mask is copied."""
+        return cls(mask)
 
     @classmethod
     def complete(cls, state_count: int, self_loops: bool = True) -> EdgeSet:
-        pairs = [
-            (a, b)
-            for a in range(state_count)
-            for b in range(state_count)
-            if self_loops or a != b
-        ]
-        return cls.from_pairs(state_count, pairs)
+        return cls(~np.eye(state_count, dtype=bool) | self_loops)
+
+    @property
+    def state_count(self) -> int:
+        return self._mask.shape[0]
 
     def mask(self) -> np.ndarray:
-        out = np.zeros((self.state_count, self.state_count), dtype=bool)
-        for a, b in self.edges:
-            out[a, b] = True
-        return out
+        """The stored read-only adjacency mask."""
+        return self._mask
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """Edges in row-major order, which is ascending order of the pairs."""
+        return [(a, b) for a, b in np.argwhere(self._mask).tolist()]
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return (pair[0], pair[1]) in self.edges
+        a, b = pair
+        n = self.state_count
+        return 0 <= a < n and 0 <= b < n and bool(self._mask[a, b])
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return int(np.count_nonzero(self._mask))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EdgeSet) and np.array_equal(self._mask, other._mask)
+
+    def __hash__(self) -> int:
+        return hash(self._mask.tobytes())
+
+    def __reduce__(self):
+        # rebuild through the constructor, so an unpickled mask is read-only too
+        return EdgeSet, (self._mask,)
+
+    def __repr__(self) -> str:
+        return f"EdgeSet({self.state_count} states, {len(self)} edges)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,10 +398,15 @@ def rationalize(
 
 @dataclass(frozen=True)
 class MembershipReport:
-    """Outcome of the restricted-class check, with the list of failed assumptions."""
+    """Outcome of the restricted-class check, with the list of failed assumptions.
+
+    `stationary` is the law the check solved for, so callers need not solve
+    again; it is None when the chain is not irreducible.
+    """
 
     ok: bool
     failures: tuple[str, ...]
+    stationary: StationaryDistribution | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -417,7 +434,7 @@ def check_reference_class(
         failures.append("matrix is not reversible")
     if float(np.abs(pi.probs - ref_stationary.probs).max()) > tol:
         failures.append("stationary law differs from the reference")
-    return MembershipReport(not failures, tuple(failures))
+    return MembershipReport(not failures, tuple(failures), pi)
 
 
 # ---------------------------------------------------------------------------

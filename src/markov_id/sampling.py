@@ -31,11 +31,8 @@ class RandomSource:
 
     seed: int
     stream: int = 0
-    algorithm: str = "philox4x64"
 
     def __post_init__(self):
-        if self.algorithm != "philox4x64":
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.stream < 0:
             raise ValueError("stream must be nonnegative")
 
@@ -66,8 +63,15 @@ class Trajectory:
         return int(self.states.size)
 
 
-def _row_cumsums(P: TransitionMatrix) -> list[list[float]]:
-    return [np.cumsum(row).tolist() for row in P.matrix]
+def _inverse_cdf_tables(rows: np.ndarray) -> tuple[list[list[float]], list[int]]:
+    """Cumulative sums of each row, and the last index where the row has mass.
+
+    A uniform at or past a row's float total clamps to that last index, so
+    a draw never lands where the row has no mass.
+    """
+    rows = np.atleast_2d(rows)
+    last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
+    return np.cumsum(rows, axis=1).tolist(), last.tolist()
 
 
 def simulate(
@@ -79,7 +83,8 @@ def simulate(
     """Sample a length-n trajectory of P, stationary start by default.
 
     All n uniforms are drawn up front from the source's generator; each
-    step then inverts the current row's cumulative sums.
+    step then inverts the current row's cumulative sums, clamped to the
+    row's last edge.
     """
     if n < 1:
         raise ValueError("need at least one step, n >= 1")
@@ -91,13 +96,13 @@ def simulate(
             raise IncompatibleStateCountError("initial law does not match the state space")
     gen = source.generator()
     u = gen.random(n)
-    init_cum = np.cumsum(init).tolist()
-    rows = _row_cumsums(P)
+    (init_cum,), (init_last,) = _inverse_cdf_tables(init)
+    rows, row_last = _inverse_cdf_tables(P.matrix)
     out = np.empty(n, dtype=np.int64)
-    last = min(bisect_right(init_cum, u[0]), P.state_count - 1)
+    last = min(bisect_right(init_cum, u[0]), init_last)
     out[0] = last
     for t in range(1, n):
-        last = min(bisect_right(rows[last], u[t]), P.state_count - 1)
+        last = min(bisect_right(rows[last], u[t]), row_last[last])
         out[t] = last
     return Trajectory(out, P.state_count, seed=source.seed, stream=source.stream)
 

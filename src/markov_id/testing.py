@@ -1,14 +1,17 @@
 """Identity testing from one trajectory, by reduction to the symmetric case.
 
-The pipeline: check the reference lives in the restricted class, build the
-symmetrizer of its stationary law, embed the reference algebraically and
-the observed trajectory operationally, then hand both to a tester that only
-ever sees symmetric chains. Any such tester plugs in through a registry;
-the baseline is a plug-in estimator thresholding the estimated contrast.
+The pipeline: prepare the reference once (check it lives in the restricted
+class, build the symmetrizer of its stationary law, embed the reference
+algebraically and read its symmetry defect off that embedded matrix), then
+embed the observed trajectory operationally and hand both to a tester that
+only ever sees symmetric chains. Any such tester plugs in through a
+registry; the baseline is a plug-in estimator thresholding the estimated
+contrast.
 
 Risk estimation replays this end to end over many simulated trajectories,
 from the reference (type I) and from each alternative (type II), on
-independent, reproducibly indexed random streams.
+independent, reproducibly indexed random streams. A scan over lengths
+prepares the reference and gates the alternatives once for the whole grid.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ import numpy as np
 from .contrast import contrast
 from .markov_core import (
     RationalStationary,
+    StationaryDistribution,
     TransitionMatrix,
     check_reference_class,
 )
-from .embedding import MemorylessEmbedding, build_symmetrizer, embed_matrix, symmetry_defect
+from .embedding import Symmetrizer, build_symmetrizer, embed_matrix
 from .errors import (
     ExclusionRegionError,
     IncompatibleStateCountError,
@@ -161,6 +165,41 @@ def resolve_tester(name: str) -> SymmetricTester:
         ) from None
 
 
+@dataclass(frozen=True, eq=False)
+class PreparedReference:
+    """A reference checked, symmetrized and embedded once, for reuse.
+
+    Holds the reference with its rational law p / Delta and its stationary
+    law, the symmetrizer, the reference embedded through it on Delta states,
+    and that embedded matrix's symmetry defect max |M - M^T|.
+    """
+
+    ref: TransitionMatrix
+    rational: RationalStationary
+    stationary: StationaryDistribution
+    symmetrizer: Symmetrizer
+    big_ref: TransitionMatrix
+    defect: float
+
+
+def prepare_reference(ref: TransitionMatrix, rational: RationalStationary) -> PreparedReference:
+    """Check `ref` against the restricted class anchored at its own edges, then embed it.
+
+    Raises :class:`ReferenceClassError` when the reference is outside the
+    class, and :class:`PreconditionFailedError` when its embedding is not
+    symmetric to `SYMMETRY_DEFECT_TOL`.
+    """
+    report = check_reference_class(ref, rational, ref.edges)
+    if not report:
+        raise ReferenceClassError("reference: " + "; ".join(report.failures))
+    sym = build_symmetrizer(rational, ref.edges)
+    big_ref = embed_matrix(ref, sym.embedding)
+    defect = float(np.abs(big_ref.matrix - big_ref.matrix.T).max())
+    if defect > SYMMETRY_DEFECT_TOL:
+        raise PreconditionFailedError(f"embedded reference asymmetric by {defect}")
+    return PreparedReference(ref, rational, report.stationary, sym, big_ref, defect)
+
+
 def reduced_identity_test(
     ref: TransitionMatrix,
     rational: RationalStationary,
@@ -172,28 +211,18 @@ def reduced_identity_test(
     """Test `trajectory` for identity with `ref` via the symmetrizing reduction.
 
     The reference must belong to the restricted class anchored at its own
-    edge set and the given rational stationary law. The trajectory is
-    lifted with fresh randomness (`embed_source`, default stream 1 of the
-    config seed) and judged by the named symmetric tester.
+    edge set and the given rational stationary law; it is prepared once
+    per call. The trajectory, over the reference's states, is lifted with
+    fresh randomness (`embed_source`, default stream 1 of the config seed)
+    and judged by the named symmetric tester.
     """
-    report = check_reference_class(ref, rational, ref.edges)
-    if not report:
-        raise ReferenceClassError("; ".join(report.failures))
-    if trajectory.state_count != ref.state_count:
-        raise IncompatibleStateCountError(
-            f"trajectory over {trajectory.state_count} states, reference has {ref.state_count}"
-        )
-    sym = build_symmetrizer(rational, ref.edges)
-    defect = symmetry_defect(sym, ref)
-    if defect > SYMMETRY_DEFECT_TOL:
-        raise PreconditionFailedError(f"embedded reference asymmetric by {defect}")
-    big_ref = embed_matrix(ref, sym.embedding)
+    prepared = prepare_reference(ref, rational)
     source = embed_source if embed_source is not None else RandomSource(config.seed, stream=1)
-    big_traj = embed_trajectory(trajectory, sym.embedding, source)
+    big_traj = embed_trajectory(trajectory, prepared.symmetrizer.embedding, source)
     tester_fn = tester if tester is not None else resolve_tester(config.tester)
-    verdict = tester_fn(big_ref, big_traj, config)
-    verdict.diagnostics.setdefault("delta_states", sym.delta)
-    verdict.diagnostics.setdefault("symmetry_defect", defect)
+    verdict = tester_fn(prepared.big_ref, big_traj, config)
+    verdict.diagnostics.setdefault("delta_states", prepared.symmetrizer.delta)
+    verdict.diagnostics.setdefault("symmetry_defect", prepared.defect)
     return verdict
 
 
@@ -215,30 +244,37 @@ class RiskReport:
         return self.type1 + self.type2_max
 
 
-def _gate_alternatives(
-    ref: TransitionMatrix,
-    rational: RationalStationary,
+_Chain = tuple[TransitionMatrix, StationaryDistribution]
+
+
+def _gated_chains(
+    prepared: PreparedReference,
     alternatives: Sequence[TransitionMatrix],
     epsilon: float,
-) -> None:
-    report = check_reference_class(ref, rational, ref.edges)
-    if not report:
-        raise ReferenceClassError("reference: " + "; ".join(report.failures))
+) -> list[_Chain]:
+    """The reference and each alternative, with its stationary law.
+
+    Every alternative must share the reference's class and lie farther than
+    `epsilon` from it in contrast.
+    """
+    chains = [(prepared.ref, prepared.stationary)]
     for i, alt in enumerate(alternatives):
-        rep = check_reference_class(alt, rational, ref.edges)
+        rep = check_reference_class(alt, prepared.rational, prepared.ref.edges)
         if not rep:
             raise ReferenceClassError(f"alternative {i}: " + "; ".join(rep.failures))
-        k = contrast(alt, ref).k
+        k = contrast(alt, prepared.ref).k
         if k <= epsilon:
             raise ExclusionRegionError(
                 f"alternative {i} has contrast {k:.6g} <= epsilon {epsilon}"
             )
+        chains.append((alt, rep.stationary))
+    return chains
 
 
 def _risk_block(
+    prepared: PreparedReference,
     chain: TransitionMatrix,
-    emb: MemorylessEmbedding,
-    big_ref: TransitionMatrix,
+    law: StationaryDistribution,
     config: TestConfig,
     t0: int,
     t1: int,
@@ -250,10 +286,45 @@ def _risk_block(
     for t in range(t0, t1):
         sim_src = RandomSource(config.seed, stream=chain_base + 2 * t)
         emb_src = RandomSource(config.seed, stream=chain_base + 2 * t + 1)
-        traj = simulate(chain, config.n, sim_src)
-        big_traj = embed_trajectory(traj, emb, emb_src)
-        rejections += tester_fn(big_ref, big_traj, config).decision
+        traj = simulate(chain, config.n, sim_src, initial=law)
+        big_traj = embed_trajectory(traj, prepared.symmetrizer.embedding, emb_src)
+        rejections += tester_fn(prepared.big_ref, big_traj, config).decision
     return rejections
+
+
+def _risk_at(
+    prepared: PreparedReference,
+    chains: Sequence[_Chain],
+    config: TestConfig,
+    trials: int,
+    workers: int,
+    n_index: int,
+) -> RiskReport:
+    """Risk at length `config.n` over a prepared reference and its gated chains.
+
+    Each chain's trials split into one block per worker; blocks run in
+    process or on a pool, and their counts add up the same either way.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    step = trials if workers <= 1 else -(-trials // workers)
+    owners, blocks = [], []
+    for c, (chain, law) in enumerate(chains):
+        chain_base = 2 * (n_index * len(chains) + c) * trials
+        for t0 in range(0, trials, step):
+            owners.append(c)
+            blocks.append((prepared, chain, law, config, t0, min(t0 + step, trials), chain_base))
+    if workers <= 1:
+        counts = [_risk_block(*block) for block in blocks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(_risk_block, *zip(*blocks)))
+    rejections = [0] * len(chains)
+    for c, k in zip(owners, counts):
+        rejections[c] += k
+    type1 = rejections[0] / trials
+    type2 = tuple(1.0 - r / trials for r in rejections[1:])
+    return RiskReport(n=config.n, trials=trials, type1=type1, type2_by_alternative=type2)
 
 
 def estimate_risk(
@@ -273,43 +344,9 @@ def estimate_risk(
     randomness on the next stream, so results do not depend on `workers`
     and separate `n_index` values never share randomness.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    _gate_alternatives(ref, rational, alternatives, config.epsilon)
-    sym = build_symmetrizer(rational, ref.edges)
-    defect = symmetry_defect(sym, ref)
-    if defect > SYMMETRY_DEFECT_TOL:
-        raise PreconditionFailedError(f"embedded reference asymmetric by {defect}")
-    big_ref = embed_matrix(ref, sym.embedding)
-    chains = [ref, *alternatives]
-    rejections = [0] * len(chains)
-
-    jobs = []
-    for c, chain in enumerate(chains):
-        chain_base = 2 * (n_index * len(chains) + c) * trials
-        if workers <= 1:
-            rejections[c] = _risk_block(
-                chain, sym.embedding, big_ref, config, 0, trials, chain_base
-            )
-        else:
-            step = -(-trials // workers)
-            for t0 in range(0, trials, step):
-                jobs.append((c, chain, t0, min(t0 + step, trials), chain_base))
-    if jobs:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (c, pool.submit(
-                    _risk_block, chain, sym.embedding, big_ref,
-                    config, t0, t1, chain_base,
-                ))
-                for c, chain, t0, t1, chain_base in jobs
-            ]
-            for c, fut in futures:
-                rejections[c] += fut.result()
-
-    type1 = rejections[0] / trials
-    type2 = tuple(1.0 - r / trials for r in rejections[1:])
-    return RiskReport(n=config.n, trials=trials, type1=type1, type2_by_alternative=type2)
+    prepared = prepare_reference(ref, rational)
+    chains = _gated_chains(prepared, alternatives, config.epsilon)
+    return _risk_at(prepared, chains, config, trials, workers, n_index)
 
 
 @dataclass(frozen=True)
@@ -346,18 +383,19 @@ def sample_complexity_scan(
 ) -> ScanResult:
     """Estimate risk over `n_grid` and report where it first beats `config.delta`.
 
-    Grid points are evaluated in the given order on disjoint stream blocks;
-    with `stop_early` the scan ends at the first success.
+    The reference is prepared and the alternatives gated once for the whole
+    grid. Grid points are evaluated in the given order on disjoint stream
+    blocks, exactly as :func:`estimate_risk` with `n_index` set to the
+    point's position; with `stop_early` the scan ends at the first success.
     """
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
-    _gate_alternatives(ref, rational, alternatives, config.epsilon)
+    prepared = prepare_reference(ref, rational)
+    chains = _gated_chains(prepared, alternatives, config.epsilon)
     reports: list[RiskReport] = []
     for i, n in enumerate(n_grid):
         cfg = dataclasses.replace(config, n=int(n))
-        report = estimate_risk(
-            ref, rational, alternatives, cfg, trials, workers=workers, n_index=i
-        )
+        report = _risk_at(prepared, chains, cfg, trials, workers, i)
         reports.append(report)
         if stop_early and report.risk < config.delta:
             break

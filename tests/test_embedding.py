@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from markov_id import (
     EdgeSet,
+    IncompatibleStateCountError,
     LumpingMap,
     MemorylessEmbedding,
     NotLumpableError,
@@ -96,11 +97,38 @@ class TestLumpability:
         assert np.abs(lump(big, emb.lumping).matrix - P.matrix).max() <= 1e-12
 
 
+@st.composite
+def edge_sets_with_lumpings(draw):
+    """A random edge set on k states and a random surjection onto those k states."""
+    k = draw(st.integers(1, 4))
+    cycle = draw(st.permutations(range(k)))
+    extra = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=8))
+    pairs = [(cycle[i], cycle[(i + 1) % k]) for i in range(k)] + extra
+    padding = draw(st.lists(st.integers(0, k - 1), max_size=6))
+    assignment = draw(st.permutations(list(range(k)) + padding))
+    return EdgeSet.from_pairs(k, pairs), LumpingMap(k, np.array(assignment))
+
+
 class TestEdgeMaps:
+    @given(edge_sets_with_lumpings())
+    @settings(max_examples=100, deadline=None)
+    def test_embedded_edge_set_matches_block_products(self, case):
+        edges, lm = case
+        assign = lm.assignment.tolist()
+        block = {a: [y for y, x in enumerate(assign) if x == a] for a in range(lm.target_count)}
+        expected = {
+            (y, y2) for a, b in edges.sorted_pairs() for y in block[a] for y2 in block[b]
+        }
+        got = embedded_edge_set(edges, lm)
+        assert got.sorted_pairs() == sorted(expected)
+        assert got == EdgeSet.from_pairs(lm.source_count, expected)
+
     def test_embedded_edge_set_blows_up_blocks(self):
         edges = EdgeSet.from_pairs(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
         lm = LumpingMap(2, np.array([0, 1, 1]))
         assert embedded_edge_set(edges, lm) == EdgeSet.complete(3)
+        with pytest.raises(IncompatibleStateCountError):
+            embedded_edge_set(EdgeSet.complete(3), lm)
 
     def test_embedded_edge_set_keeps_missing_edges_missing(self):
         edges = EdgeSet.from_pairs(2, [(0, 0), (0, 1), (1, 0)])

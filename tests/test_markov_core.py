@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -47,8 +48,23 @@ class TestEdgeSet:
             EdgeSet.from_pairs(2, [(0, 0), (1, 0)])
 
     def test_mask_round_trip(self):
-        e = EdgeSet.from_pairs(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (2, 2)])
+        pairs = [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (2, 2)]
+        e = EdgeSet.from_pairs(3, pairs)
         assert EdgeSet.from_mask(e.mask()) == e
+        assert e.sorted_pairs() == sorted(pairs)
+        assert (0, 2) not in e and (-1, 2) not in e and (3, 0) not in e
+        with pytest.raises(ValueError):
+            e.mask()[0, 2] = True
+        assert (0, 2) not in e
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e and not copy.mask().flags.writeable
+        full = [
+            EdgeSet.complete(3),
+            EdgeSet.from_pairs(3, [(a, b) for b in range(3) for a in range(3)]),
+            EdgeSet.from_mask(np.ones((3, 3))),
+        ]
+        assert all(f == full[0] and hash(f) == hash(full[0]) for f in full)
+        assert e != full[0] and len({e, *full}) == 2
 
 
 class TestValidate:

@@ -39,10 +39,6 @@ class TestRandomSource:
         b = RandomSource(42, 1).generator().random(5)
         assert (a != b).any()
 
-    def test_rejects_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            RandomSource(1, algorithm="mt19937")
-
     def test_rejects_negative_stream(self):
         with pytest.raises(ValueError):
             RandomSource(1, stream=-1)
@@ -97,6 +93,25 @@ class TestSimulate:
         traj = simulate(P, 5000, RandomSource(5))
         pairs = set(zip(traj.states[:-1].tolist(), traj.states[1:].tolist()))
         assert (1, 1) not in pairs
+
+    def test_uniform_past_row_total_stays_on_edges(self, monkeypatch):
+        # row 0 sums to 1 - 5e-13, within ROW_SUM_TOL; a uniform just below 1
+        # lies past its float total and must clamp to the row's last edge
+        from markov_id import TransitionMatrix
+
+        P = TransitionMatrix.from_dense(
+            [[0.5, 0.4999999999995, 0.0], [0.3, 0.3, 0.4], [0.0, 0.5, 0.5]]
+        )
+
+        class AlmostOne:
+            def random(self, n):
+                return np.full(n, np.nextafter(1.0, 0.0))
+
+        monkeypatch.setattr(RandomSource, "generator", lambda self: AlmostOne())
+        traj = simulate(P, 5, RandomSource(0), initial=np.array([1.0, 0.0, 0.0]))
+        assert traj.states.tolist() == [0, 1, 2, 2, 2]
+        short = simulate(P, 1, RandomSource(0), initial=P.matrix[0])
+        assert short.states.tolist() == [1]
 
 
 class TestEmbedTrajectory:

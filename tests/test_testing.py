@@ -312,3 +312,34 @@ class TestScan:
             n_grid=[25, 400], trials=30, stop_early=False,
         )
         assert result.reports[-1].risk <= result.reports[0].risk
+
+    def test_setup_runs_once_per_scan(
+        self, monkeypatch, ref_three_state, alt_three_state, rational, config
+    ):
+        import markov_id.embedding as embedding
+        import markov_id.sampling as sampling
+        import markov_id.testing as testing
+
+        calls = {}
+
+        def count(module, name, original):
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted, raising=False)
+
+        for name in ("check_reference_class", "build_symmetrizer", "embed_matrix"):
+            count(testing, name, getattr(testing, name))
+        count(testing, "symmetry_defect", embedding.symmetry_defect)
+        count(sampling, "stationary_distribution", sampling.stationary_distribution)
+        result = sample_complexity_scan(
+            ref_three_state, rational, [alt_three_state], config,
+            n_grid=[50, 100, 200], trials=5, stop_early=False,
+        )
+        assert len(result.reports) == 3
+        assert calls.get("check_reference_class") == 2
+        assert calls.get("build_symmetrizer") == 1
+        assert calls.get("embed_matrix") == 1
+        assert "symmetry_defect" not in calls
+        assert "stationary_distribution" not in calls
