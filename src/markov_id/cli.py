@@ -75,8 +75,9 @@ _PRECONDITION_ERRORS = (
 )
 
 
-def _fresh_seed() -> int:
-    return secrets.randbits(63)
+def _seed(merged: dict) -> int:
+    """The configured seed, or a fresh one to be printed with the result."""
+    return int(merged["seed"]) if merged["seed"] is not None else secrets.randbits(63)
 
 
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:
@@ -121,6 +122,45 @@ def _workers(requested: int) -> int:
 def _rational_for(ref, merged) -> RationalStationary:
     pi = stationary_distribution(ref)
     return rationalize(pi, int(merged["max_denominator"]))
+
+
+def _write_trajectory(traj, fmt: str, out_path: str | None) -> None:
+    if out_path:
+        save_trajectory(traj, out_path, fmt=fmt)
+        _emit({"n": len(traj), "out": out_path, "seed": traj.seed, "stream": traj.stream}, "text", None)
+    elif fmt == "json":
+        _emit(trajectory_to_json_obj(traj), "json", None)
+    else:
+        sys.stdout.write(trajectory_to_text(traj))
+
+
+def _problem(args, delta: float, **defaults) -> dict:
+    """Merged options of a testing problem (`test`, `risk`, `scan`); --epsilon is required."""
+    merged = _merged(
+        args,
+        {
+            "format": "text",
+            "epsilon": None,
+            "epsilon_low": None,
+            "delta": delta,
+            "seed": None,
+            "max_denominator": DEFAULT_MAX_DENOMINATOR,
+            **defaults,
+        },
+    )
+    if merged["epsilon"] is None:
+        raise ValueError("--epsilon is required")
+    return merged
+
+
+def _test_config(merged: dict, n: int) -> TestConfig:
+    return TestConfig(
+        epsilon=float(merged["epsilon"]),
+        delta=float(merged["delta"]),
+        n=n,
+        seed=_seed(merged),
+        epsilon_low=None if merged["epsilon_low"] is None else float(merged["epsilon_low"]),
+    )
 
 
 # --- subcommand bodies ------------------------------------------------------
@@ -191,16 +231,8 @@ def _cmd_simulate(args) -> int:
     if merged["n"] is None:
         raise ValueError("trajectory length -n is required")
     P = load_matrix(args.p)
-    seed = merged["seed"] if merged["seed"] is not None else _fresh_seed()
-    source = RandomSource(int(seed), int(merged["stream"]))
-    traj = simulate(P, int(merged["n"]), source)
-    if args.out:
-        save_trajectory(traj, args.out, fmt=merged["format"])
-        _emit({"n": len(traj), "out": args.out, "seed": source.seed, "stream": source.stream}, "text", None)
-    elif merged["format"] == "json":
-        _emit(trajectory_to_json_obj(traj), "json", None)
-    else:
-        sys.stdout.write(trajectory_to_text(traj))
+    traj = simulate(P, int(merged["n"]), RandomSource(_seed(merged), int(merged["stream"])))
+    _write_trajectory(traj, merged["format"], args.out)
     return 0
 
 
@@ -208,45 +240,16 @@ def _cmd_embed(args) -> int:
     merged = _merged(args, {"format": "text", "seed": None, "stream": 0})
     sym = load_symmetrizer(args.sigma)
     traj = load_trajectory(args.traj)
-    seed = merged["seed"] if merged["seed"] is not None else _fresh_seed()
-    source = RandomSource(int(seed), int(merged["stream"]))
-    big = embed_trajectory(traj, sym.embedding, source)
-    if args.out:
-        save_trajectory(big, args.out, fmt=merged["format"])
-        _emit({"n": len(big), "out": args.out, "seed": source.seed, "stream": source.stream}, "text", None)
-    elif merged["format"] == "json":
-        _emit(trajectory_to_json_obj(big), "json", None)
-    else:
-        sys.stdout.write(trajectory_to_text(big))
+    big = embed_trajectory(traj, sym.embedding, RandomSource(_seed(merged), int(merged["stream"])))
+    _write_trajectory(big, merged["format"], args.out)
     return 0
 
 
 def _cmd_test(args) -> int:
-    merged = _merged(
-        args,
-        {
-            "format": "text",
-            "epsilon": None,
-            "delta": 0.1,
-            "seed": None,
-            "tester": "plugin-contrast",
-            "epsilon_low": None,
-            "max_denominator": DEFAULT_MAX_DENOMINATOR,
-        },
-    )
-    if merged["epsilon"] is None:
-        raise ValueError("--epsilon is required")
+    merged = _problem(args, delta=0.1)
     ref = load_matrix(args.ref)
     traj = load_trajectory(args.traj)
-    seed = merged["seed"] if merged["seed"] is not None else _fresh_seed()
-    config = TestConfig(
-        epsilon=float(merged["epsilon"]),
-        delta=float(merged["delta"]),
-        n=len(traj),
-        seed=int(seed),
-        tester=str(merged["tester"]),
-        epsilon_low=None if merged["epsilon_low"] is None else float(merged["epsilon_low"]),
-    )
+    config = _test_config(merged, len(traj))
     rational = _rational_for(ref, merged)
     verdict = reduced_identity_test(ref, rational, traj, config)
     obj = {
@@ -268,38 +271,14 @@ def _cmd_test(args) -> int:
 
 
 def _risk_args(args, need_n: bool):
-    merged = _merged(
-        args,
-        {
-            "format": "text",
-            "epsilon": None,
-            "delta": 0.2,
-            "n": None,
-            "seed": None,
-            "trials": 200,
-            "workers": 1,
-            "tester": "plugin-contrast",
-            "epsilon_low": None,
-            "max_denominator": DEFAULT_MAX_DENOMINATOR,
-        },
-    )
-    if merged["epsilon"] is None:
-        raise ValueError("--epsilon is required")
+    merged = _problem(args, delta=0.2, n=None, trials=200, workers=1)
     if need_n and merged["n"] is None:
         raise ValueError("trajectory length -n is required")
     ref = load_matrix(args.ref)
     alternatives = [load_matrix(path) for path in args.alt or []]
     if not alternatives:
         raise ValueError("at least one --alt matrix is required")
-    seed = merged["seed"] if merged["seed"] is not None else _fresh_seed()
-    config = TestConfig(
-        epsilon=float(merged["epsilon"]),
-        delta=float(merged["delta"]),
-        n=int(merged["n"]) if merged["n"] is not None else 1,
-        seed=int(seed),
-        tester=str(merged["tester"]),
-        epsilon_low=None if merged["epsilon_low"] is None else float(merged["epsilon_low"]),
-    )
+    config = _test_config(merged, int(merged["n"]) if merged["n"] is not None else 1)
     rational = _rational_for(ref, merged)
     return merged, ref, alternatives, rational, config
 
@@ -438,10 +417,10 @@ def run_verification(seed: int, cases: int) -> dict[str, float]:
 
 def _cmd_verify(args) -> int:
     merged = _merged(args, {"format": "text", "seed": None, "trials": 50})
-    seed = merged["seed"] if merged["seed"] is not None else _fresh_seed()
-    worst = run_verification(int(seed), int(merged["trials"]))
+    seed = _seed(merged)
+    worst = run_verification(seed, int(merged["trials"]))
     failures = {k: v for k, v in worst.items() if v > _VERIFY_TOLS[k]}
-    obj: dict = {"seed": int(seed), "cases": int(merged["trials"])}
+    obj: dict = {"seed": seed, "cases": int(merged["trials"])}
     for name in sorted(worst):
         obj[f"{name}_worst"] = worst[name]
         obj[f"{name}_tol"] = _VERIFY_TOLS[name]
@@ -503,29 +482,25 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("test", help="identity test of a trajectory against a reference")
-    p.add_argument("--ref", required=True)
-    p.add_argument("--traj", required=True)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--epsilon-low", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tester", default=None)
-    p.add_argument("--max-denominator", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_test)
-
-    def risk_like(p: argparse.ArgumentParser) -> None:
+    def problem(p: argparse.ArgumentParser) -> None:
         p.add_argument("--ref", required=True)
-        p.add_argument("--alt", action="append", help="alternative matrix; repeatable")
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--epsilon-low", type=float, default=None)
         p.add_argument("--delta", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--max-denominator", type=int, default=None)
+
+    p = sub.add_parser("test", help="identity test of a trajectory against a reference")
+    problem(p)
+    p.add_argument("--traj", required=True)
+    common(p)
+    p.set_defaults(func=_cmd_test)
+
+    def risk_like(p: argparse.ArgumentParser) -> None:
+        problem(p)
+        p.add_argument("--alt", action="append", help="alternative matrix; repeatable")
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--tester", default=None)
-        p.add_argument("--max-denominator", type=int, default=None)
 
     p = sub.add_parser("risk", help="Monte Carlo risk at one trajectory length")
     risk_like(p)

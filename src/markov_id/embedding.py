@@ -56,6 +56,10 @@ class LumpingMap:
         assign.setflags(write=False)
         object.__setattr__(self, "assignment", assign)
 
+    def __reduce__(self):
+        # rebuild through the constructor, so an unpickled assignment is read-only too
+        return LumpingMap, (self.target_count, self.assignment)
+
     @property
     def source_count(self) -> int:
         return int(self.assignment.size)
@@ -98,6 +102,9 @@ class MemorylessEmbedding:
             raise ValueError(f"weights on block {bad} sum to {block_sums[bad]!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    def __reduce__(self):
+        return MemorylessEmbedding, (self.lumping, self.weights)
 
     @property
     def source_count(self) -> int:

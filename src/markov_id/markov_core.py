@@ -162,6 +162,10 @@ class TransitionMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
+    def __reduce__(self):
+        # rebuild through the constructor, so an unpickled matrix is read-only too
+        return TransitionMatrix, (self.edges, self.matrix)
+
     @property
     def state_count(self) -> int:
         return self.edges.state_count
@@ -212,6 +216,9 @@ class StationaryDistribution:
             raise ValueError(f"probs sum to {probs.sum()!r}, not 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
+
+    def __reduce__(self):
+        return StationaryDistribution, (self.probs,)
 
     @property
     def min_prob(self) -> float:

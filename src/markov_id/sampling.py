@@ -59,6 +59,10 @@ class Trajectory:
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
 
+    def __reduce__(self):
+        # rebuild through the constructor, so unpickled states are read-only too
+        return Trajectory, (self.states, self.state_count, self.seed, self.stream)
+
     def __len__(self) -> int:
         return int(self.states.size)
 
@@ -118,7 +122,7 @@ def embed_trajectory(
     block x under the embedding's weights; the result is distributed as a
     trajectory of the embedded chain and lumps back to the input.
     """
-    if int(traj.states.max()) >= emb.target_count or traj.state_count != emb.target_count:
+    if traj.state_count != emb.target_count:
         raise IncompatibleStateCountError(
             f"trajectory over {traj.state_count} states, embedding lumps onto {emb.target_count}"
         )

@@ -4,9 +4,8 @@ The pipeline: prepare the reference once (check it lives in the restricted
 class, build the symmetrizer of its stationary law, embed the reference
 algebraically and read its symmetry defect off that embedded matrix), then
 embed the observed trajectory operationally and hand both to a tester that
-only ever sees symmetric chains. Any such tester plugs in through a
-registry; the baseline is a plug-in estimator thresholding the estimated
-contrast.
+only ever sees symmetric chains: a plug-in estimator thresholding the
+estimated contrast.
 
 Risk estimation replays this end to end over many simulated trajectories,
 from the reference (type I) and from each alternative (type II), on
@@ -19,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,9 +49,9 @@ class TestConfig:
 
     `epsilon` separates the alternatives from the reference in contrast;
     `delta` is the admissible risk; `n` the trajectory length; `seed` the
-    root of every random stream; `tester` names a registered symmetric
-    tester. `epsilon_low` widens the accept region: the rejection threshold
-    sits halfway between `epsilon_low` (default 0) and `epsilon`.
+    root of every random stream. `epsilon_low` widens the accept region: the
+    rejection threshold sits halfway between `epsilon_low` (default 0) and
+    `epsilon`.
     """
 
     __test__ = False  # name looks like a test fixture to pytest; it is not
@@ -61,7 +60,6 @@ class TestConfig:
     delta: float
     n: int
     seed: int = 0
-    tester: str = "plugin-contrast"
     epsilon_low: float | None = None
 
     def __post_init__(self):
@@ -94,14 +92,6 @@ class TestVerdict:
     def __post_init__(self):
         if self.decision not in (0, 1):
             raise ValueError("decision must be 0 or 1")
-
-
-class SymmetricTester(Protocol):
-    """Identity tester that assumes a symmetric reference matrix."""
-
-    def __call__(
-        self, ref: TransitionMatrix, traj: Trajectory, config: TestConfig
-    ) -> TestVerdict: ...
 
 
 def plugin_symmetric_tester(
@@ -151,20 +141,6 @@ def plugin_symmetric_tester(
     )
 
 
-TESTERS: dict[str, SymmetricTester] = {
-    "plugin-contrast": plugin_symmetric_tester,
-}
-
-
-def resolve_tester(name: str) -> SymmetricTester:
-    try:
-        return TESTERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown tester {name!r}; registered: {sorted(TESTERS)}"
-        ) from None
-
-
 @dataclass(frozen=True, eq=False)
 class PreparedReference:
     """A reference checked, symmetrized and embedded once, for reuse.
@@ -205,22 +181,19 @@ def reduced_identity_test(
     rational: RationalStationary,
     trajectory: Trajectory,
     config: TestConfig,
-    tester: SymmetricTester | None = None,
-    embed_source: RandomSource | None = None,
 ) -> TestVerdict:
     """Test `trajectory` for identity with `ref` via the symmetrizing reduction.
 
     The reference must belong to the restricted class anchored at its own
     edge set and the given rational stationary law; it is prepared once
     per call. The trajectory, over the reference's states, is lifted with
-    fresh randomness (`embed_source`, default stream 1 of the config seed)
-    and judged by the named symmetric tester.
+    fresh randomness from stream 1 of the config seed and judged by
+    :func:`plugin_symmetric_tester`.
     """
     prepared = prepare_reference(ref, rational)
-    source = embed_source if embed_source is not None else RandomSource(config.seed, stream=1)
+    source = RandomSource(config.seed, stream=1)
     big_traj = embed_trajectory(trajectory, prepared.symmetrizer.embedding, source)
-    tester_fn = tester if tester is not None else resolve_tester(config.tester)
-    verdict = tester_fn(prepared.big_ref, big_traj, config)
+    verdict = plugin_symmetric_tester(prepared.big_ref, big_traj, config)
     verdict.diagnostics.setdefault("delta_states", prepared.symmetrizer.delta)
     verdict.diagnostics.setdefault("symmetry_defect", prepared.defect)
     return verdict
@@ -281,14 +254,13 @@ def _risk_block(
     chain_base: int,
 ) -> int:
     """Rejection count over trials [t0, t1); module level so it pickles."""
-    tester_fn = resolve_tester(config.tester)
     rejections = 0
     for t in range(t0, t1):
         sim_src = RandomSource(config.seed, stream=chain_base + 2 * t)
         emb_src = RandomSource(config.seed, stream=chain_base + 2 * t + 1)
         traj = simulate(chain, config.n, sim_src, initial=law)
         big_traj = embed_trajectory(traj, prepared.symmetrizer.embedding, emb_src)
-        rejections += tester_fn(prepared.big_ref, big_traj, config).decision
+        rejections += plugin_symmetric_tester(prepared.big_ref, big_traj, config).decision
     return rejections
 
 
@@ -298,9 +270,9 @@ def _risk_at(
     config: TestConfig,
     trials: int,
     workers: int,
-    n_index: int,
+    position: int,
 ) -> RiskReport:
-    """Risk at length `config.n` over a prepared reference and its gated chains.
+    """Risk at length `config.n` and grid `position` over a prepared reference's chains.
 
     Each chain's trials split into one block per worker; blocks run in
     process or on a pool, and their counts add up the same either way.
@@ -310,7 +282,7 @@ def _risk_at(
     step = trials if workers <= 1 else -(-trials // workers)
     owners, blocks = [], []
     for c, (chain, law) in enumerate(chains):
-        chain_base = 2 * (n_index * len(chains) + c) * trials
+        chain_base = 2 * (position * len(chains) + c) * trials
         for t0 in range(0, trials, step):
             owners.append(c)
             blocks.append((prepared, chain, law, config, t0, min(t0 + step, trials), chain_base))
@@ -334,19 +306,18 @@ def estimate_risk(
     config: TestConfig,
     trials: int,
     workers: int = 1,
-    n_index: int = 0,
 ) -> RiskReport:
     """Monte Carlo risk of the reduced test at length `config.n`.
 
-    Runs `trials` trajectories from the reference and from each gated
-    alternative. Trial (chain c, index t) draws its trajectory on stream
-    2*((n_index*(1+len(alternatives)) + c)*trials + t) and its embedding
-    randomness on the next stream, so results do not depend on `workers`
-    and separate `n_index` values never share randomness.
+    Runs `trials` trajectories from the reference (chain c = 0) and from
+    each gated alternative (chain c = 1 + its index). Trial t of chain c
+    draws its trajectory on stream 2*(c*trials + t) and its embedding
+    randomness on the next stream, so results do not depend on `workers`.
+    This is grid position 0 of :func:`sample_complexity_scan`.
     """
     prepared = prepare_reference(ref, rational)
     chains = _gated_chains(prepared, alternatives, config.epsilon)
-    return _risk_at(prepared, chains, config, trials, workers, n_index)
+    return _risk_at(prepared, chains, config, trials, workers, 0)
 
 
 @dataclass(frozen=True)
@@ -384,9 +355,12 @@ def sample_complexity_scan(
     """Estimate risk over `n_grid` and report where it first beats `config.delta`.
 
     The reference is prepared and the alternatives gated once for the whole
-    grid. Grid points are evaluated in the given order on disjoint stream
-    blocks, exactly as :func:`estimate_risk` with `n_index` set to the
-    point's position; with `stop_early` the scan ends at the first success.
+    grid. Grid points are evaluated in the given order; with `stop_early`
+    the scan ends at the first success. Trial t of chain c (0 for the
+    reference, 1 + its index for an alternative) at grid position i draws
+    its trajectory on stream 2*((i*(1+len(alternatives)) + c)*trials + t)
+    and its embedding randomness on the next stream, so grid points never
+    share randomness and position 0 repeats :func:`estimate_risk`.
     """
     if not n_grid:
         raise ValueError("n_grid must be nonempty")

@@ -133,6 +133,27 @@ class TestIdentityTest:
         )
         assert code == 3 and "error:" in err
 
+    def test_problem_options(self, capsys, tmp_path, ref_path, alt_path):
+        traj = str(tmp_path / "x.txt")
+        run(capsys, "simulate", "--p", ref_path, "-n", "500", "--seed", "21", "--out", traj)
+        code, out, _ = run(
+            capsys, "test", "--ref", ref_path, "--traj", traj, "--seed", "4",
+            "--epsilon-low", "0.05", "--epsilon", "0.15", "--format", "json",
+        )
+        obj = json.loads(out)
+        assert code == 0
+        assert set(obj) == {
+            "decision", "verdict", "seed", "n", "epsilon", "tester",
+            "contrast_estimate", "threshold", "insufficient_data", "delta_states",
+        }
+        assert obj["tester"] == "plugin-contrast"
+        assert obj["threshold"] == pytest.approx(0.1)
+        code, _, _ = run(
+            capsys, "risk", "--ref", ref_path, "--alt", alt_path, "--epsilon-low", "0.05",
+            "--epsilon", "0.15", "-n", "100", "--trials", "5", "--seed", "1",
+        )
+        assert code == 0
+
 
 class TestRiskAndScan:
     def test_risk_json(self, capsys, ref_path, alt_path):

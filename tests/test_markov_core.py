@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 
 from markov_id import (
     EdgeSet,
+    LumpingMap,
+    MemorylessEmbedding,
     NotIrreducibleError,
     OffEdgeMassError,
     RationalStationary,
     RationalizationFailedError,
     RowSumError,
+    StationaryDistribution,
+    Trajectory,
     TransitionMatrix,
     ZeroOnEdgeError,
     check_reference_class,
@@ -65,6 +69,28 @@ class TestEdgeSet:
         ]
         assert all(f == full[0] and hash(f) == hash(full[0]) for f in full)
         assert e != full[0] and len({e, *full}) == 2
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: TransitionMatrix.from_dense([[0.5, 0.5], [0.25, 0.75]]), "matrix"),
+        (lambda: StationaryDistribution(np.array([0.25, 0.75])), "probs"),
+        (lambda: LumpingMap(2, np.array([0, 1, 1])), "assignment"),
+        (
+            lambda: MemorylessEmbedding(LumpingMap(2, np.array([0, 1, 1])), np.array([1.0, 0.4, 0.6])),
+            "weights",
+        ),
+        (lambda: Trajectory(np.array([0, 2, 1]), 3, seed=4, stream=5), "states"),
+    ],
+    ids=["TransitionMatrix", "StationaryDistribution", "LumpingMap", "MemorylessEmbedding", "Trajectory"],
+)
+def test_unpickled_arrays_stay_read_only(make, field):
+    original = make()
+    copy = pickle.loads(pickle.dumps(original))
+    array = getattr(copy, field)
+    assert type(copy) is type(original) and not array.flags.writeable
+    assert np.array_equal(array, getattr(original, field))
 
 
 class TestValidate:

@@ -23,7 +23,6 @@ from markov_id import (
     stationary_distribution,
     validate,
 )
-from markov_id.testing import resolve_tester
 
 
 @pytest.fixture
@@ -127,10 +126,6 @@ class TestPluginTester:
             rejects += plugin_symmetric_tester(ref, other, cfg).decision == 1
         assert accepts >= 90
         assert rejects >= 90
-
-    def test_unknown_tester_name(self):
-        with pytest.raises(ValueError):
-            resolve_tester("nonexistent")
 
 
 class TestReducedTest:
@@ -343,3 +338,34 @@ class TestScan:
         assert calls.get("embed_matrix") == 1
         assert "symmetry_defect" not in calls
         assert "stationary_distribution" not in calls
+
+    def test_stream_layout(
+        self, monkeypatch, ref_three_state, alt_three_state, rational, config
+    ):
+        import markov_id.testing as testing
+
+        drawn = []
+
+        class Recording(RandomSource):
+            def generator(self):
+                drawn.append((self.seed, self.stream))
+                return super().generator()
+
+        monkeypatch.setattr(testing, "RandomSource", Recording)
+        trials, chains = 3, 2
+        result = sample_complexity_scan(
+            ref_three_state, rational, [alt_three_state], config,
+            n_grid=[50, 100], trials=trials, stop_early=False,
+        )
+        # trial t of chain c at grid position i: trajectory on stream
+        # 2*((i*chains + c)*trials + t), embedding on the next one
+        expected = [
+            (config.seed, 2 * ((i * chains + c) * trials + t) + k)
+            for i in range(2) for c in range(chains) for t in range(trials) for k in (0, 1)
+        ]
+        assert drawn == expected
+        first = estimate_risk(
+            ref_three_state, rational, [alt_three_state],
+            dataclasses.replace(config, n=50), trials=trials,
+        )
+        assert result.reports[0] == first
