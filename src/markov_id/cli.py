@@ -8,8 +8,8 @@ embedding identities against brute-force oracles.
 Conventions: every randomized subcommand either receives --seed or draws
 one and prints it, so each run is reproducible from its own output. A JSON
 config file can preload any knob; explicit flags win. Exit codes: 0 ok,
-1 verification found a violation, 2 invalid input, 3 statistical
-preconditions not met.
+1 verification found a violation, 2 invalid input or an input too large
+for memory, 3 statistical preconditions not met.
 """
 
 from __future__ import annotations
@@ -40,14 +40,7 @@ from .errors import (
     PreconditionFailedError,
     ReferenceClassError,
 )
-from .markov_core import (
-    RationalStationary,
-    is_irreducible,
-    is_reversible,
-    load_matrix,
-    rationalize,
-    stationary_distribution,
-)
+from .markov_core import is_irreducible, is_reversible, load_matrix, rationalize
 from .paths import path_divergence_invariance, pushforward_defect
 from .sampling import (
     RandomSource,
@@ -119,11 +112,6 @@ def _workers(requested: int) -> int:
     return max(1, requested)
 
 
-def _rational_for(ref, merged) -> RationalStationary:
-    pi = stationary_distribution(ref)
-    return rationalize(pi, int(merged["max_denominator"]))
-
-
 def _write_trajectory(traj, fmt: str, out_path: str | None) -> None:
     if out_path:
         save_trajectory(traj, out_path, fmt=fmt)
@@ -174,7 +162,7 @@ def _cmd_inspect(args) -> int:
         "irreducible": is_irreducible(P),
     }
     if obj["irreducible"]:
-        pi = stationary_distribution(P)
+        pi = P.stationary
         obj["reversible"] = is_reversible(P, pi)
         obj["stationary"] = pi.probs.tolist()
         obj["min_stationary_prob"] = pi.min_prob
@@ -207,7 +195,7 @@ def _cmd_symmetrize(args) -> int:
         args, {"format": "text", "max_denominator": DEFAULT_MAX_DENOMINATOR}
     )
     ref = load_matrix(args.ref)
-    rational = _rational_for(ref, merged)
+    rational = rationalize(ref.stationary, int(merged["max_denominator"]))
     sym = build_symmetrizer(rational, ref.edges)
     defect = symmetry_defect(sym, ref)
     if args.out:
@@ -250,7 +238,7 @@ def _cmd_test(args) -> int:
     ref = load_matrix(args.ref)
     traj = load_trajectory(args.traj)
     config = _test_config(merged, len(traj))
-    rational = _rational_for(ref, merged)
+    rational = rationalize(ref.stationary, int(merged["max_denominator"]))
     verdict = reduced_identity_test(ref, rational, traj, config)
     obj = {
         "decision": verdict.decision,
@@ -279,7 +267,7 @@ def _risk_args(args, need_n: bool):
     if not alternatives:
         raise ValueError("at least one --alt matrix is required")
     config = _test_config(merged, int(merged["n"]) if merged["n"] is not None else 1)
-    rational = _rational_for(ref, merged)
+    rational = rationalize(ref.stationary, int(merged["max_denominator"]))
     return merged, ref, alternatives, rational, config
 
 
@@ -387,7 +375,7 @@ def run_verification(seed: int, cases: int) -> dict[str, float]:
         bigQ = embed_matrix(Q, sym.embedding)
         bump(
             "embedded_law_uniformity",
-            np.abs(stationary_distribution(bigP).probs - 1.0 / sym.delta).max(),
+            np.abs(bigP.stationary.probs - 1.0 / sym.delta).max(),
         )
         bump(
             "lump_round_trip",
@@ -534,6 +522,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (MarkovIdError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -169,6 +170,15 @@ class TransitionMatrix:
     @property
     def state_count(self) -> int:
         return self.edges.state_count
+
+    @cached_property
+    def stationary(self) -> StationaryDistribution:
+        """The chain's stationary law, solved once per matrix by :func:`stationary_distribution`.
+
+        Safe to cache because the matrix is read-only; unpickling rebuilds
+        through the constructor, so a copy solves afresh.
+        """
+        return stationary_distribution(self)
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray) -> TransitionMatrix:
@@ -405,15 +415,10 @@ def rationalize(
 
 @dataclass(frozen=True)
 class MembershipReport:
-    """Outcome of the restricted-class check, with the list of failed assumptions.
-
-    `stationary` is the law the check solved for, so callers need not solve
-    again; it is None when the chain is not irreducible.
-    """
+    """Outcome of the restricted-class check, with the list of failed assumptions."""
 
     ok: bool
     failures: tuple[str, ...]
-    stationary: StationaryDistribution | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -436,12 +441,12 @@ def check_reference_class(
     if not is_irreducible(P):
         failures.append("matrix is not irreducible")
         return MembershipReport(False, tuple(failures))
-    pi = stationary_distribution(P)
+    pi = P.stationary
     if not is_reversible(P, pi):
         failures.append("matrix is not reversible")
     if float(np.abs(pi.probs - ref_stationary.probs).max()) > tol:
         failures.append("stationary law differs from the reference")
-    return MembershipReport(not failures, tuple(failures), pi)
+    return MembershipReport(not failures, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .markov_core import StationaryDistribution, TransitionMatrix, stationary_distribution
+from .markov_core import StationaryDistribution, TransitionMatrix
 from .errors import EdgeMismatchError, IncompatibleStateCountError, TooLargeError
 
 if TYPE_CHECKING:
@@ -73,11 +73,6 @@ class PathDistribution:
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
-    def prob_of(self, path: tuple[int, ...]) -> float:
-        if len(path) != self.length:
-            raise ValueError(f"path length {len(path)} != {self.length}")
-        return float(self.probs[path_index(path, self.state_count)])
-
     @cached_property
     def paths(self) -> np.ndarray:
         return index_paths(self.state_count, self.length)
@@ -97,7 +92,7 @@ def path_distribution(
     nx = P.state_count
     _check_table_size(nx, length)
     if initial is None:
-        init = stationary_distribution(P).probs
+        init = P.stationary.probs
     else:
         init = initial.probs if isinstance(initial, StationaryDistribution) else np.asarray(initial, dtype=float)
         if init.shape != (nx,):

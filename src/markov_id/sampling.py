@@ -7,14 +7,16 @@ provenance and distinct streams never collide.
 
 from __future__ import annotations
 
+import io
 import json
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .markov_core import StationaryDistribution, TransitionMatrix, stationary_distribution
+from .markov_core import StationaryDistribution, TransitionMatrix
 from .errors import IncompatibleStateCountError
 
 if TYPE_CHECKING:
@@ -93,7 +95,7 @@ def simulate(
     if n < 1:
         raise ValueError("need at least one step, n >= 1")
     if initial is None:
-        init = stationary_distribution(P).probs
+        init = P.stationary.probs
     else:
         init = initial.probs if isinstance(initial, StationaryDistribution) else np.asarray(initial, dtype=float)
         if init.shape != (P.state_count,):
@@ -155,27 +157,30 @@ def trajectory_to_text(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADER_LINE = re.compile(r"^[ \t]*#(.*)$", re.MULTILINE)
+_STATE_LINE = re.compile(r"^[ \t]*[^#\s]", re.MULTILINE)
+
+
 def trajectory_from_text(text: str) -> Trajectory:
     seed = stream = state_count = None
-    states: list[int] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                key, _, value = token.partition("=")
-                if key == "seed":
-                    seed = int(value)
-                elif key == "stream":
-                    stream = int(value)
-                elif key == "states":
-                    state_count = int(value)
-            continue
-        states.append(int(line))
+    for header in _HEADER_LINE.findall(text):
+        for token in header.split():
+            key, _, value = token.partition("=")
+            if key == "seed":
+                seed = int(value)
+            elif key == "stream":
+                stream = int(value)
+            elif key == "states":
+                state_count = int(value)
+    # np.loadtxt parses every state line in one call; it warns on input with
+    # no data, so a file of headers only skips it.
+    if _STATE_LINE.search(text):
+        states = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=1)
+    else:
+        states = np.empty(0, dtype=np.int64)
     if state_count is None:
-        state_count = max(states) + 1 if states else 0
-    return Trajectory(np.array(states, dtype=np.int64), state_count, seed=seed, stream=stream)
+        state_count = int(states.max()) + 1 if states.size else 0
+    return Trajectory(states, state_count, seed=seed, stream=stream)
 
 
 def trajectory_to_json_obj(traj: Trajectory) -> dict:

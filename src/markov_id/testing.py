@@ -1,11 +1,11 @@
 """Identity testing from one trajectory, by reduction to the symmetric case.
 
 The pipeline: prepare the reference once (check it lives in the restricted
-class, build the symmetrizer of its stationary law, embed the reference
-algebraically and read its symmetry defect off that embedded matrix), then
-embed the observed trajectory operationally and hand both to a tester that
-only ever sees symmetric chains: a plug-in estimator thresholding the
-estimated contrast.
+class, build the symmetrizer of its stationary law, read the embedded
+reference's symmetry defect off the small chain, and embed the reference
+algebraically), then embed the observed trajectory operationally and hand
+both to a tester that only ever sees symmetric chains: a plug-in estimator
+thresholding the estimated contrast.
 
 Risk estimation replays this end to end over many simulated trajectories,
 from the reference (type I) and from each alternative (type II), on
@@ -29,7 +29,7 @@ from .markov_core import (
     TransitionMatrix,
     check_reference_class,
 )
-from .embedding import Symmetrizer, build_symmetrizer, embed_matrix
+from .embedding import Symmetrizer, _symmetry_defect, build_symmetrizer, embed_matrix
 from .errors import (
     ExclusionRegionError,
     IncompatibleStateCountError,
@@ -145,14 +145,13 @@ def plugin_symmetric_tester(
 class PreparedReference:
     """A reference checked, symmetrized and embedded once, for reuse.
 
-    Holds the reference with its rational law p / Delta and its stationary
-    law, the symmetrizer, the reference embedded through it on Delta states,
-    and that embedded matrix's symmetry defect max |M - M^T|.
+    Holds the reference with its rational law p / Delta, the symmetrizer,
+    the reference embedded through it on Delta states, and that embedded
+    matrix's symmetry defect max |M - M^T|.
     """
 
     ref: TransitionMatrix
     rational: RationalStationary
-    stationary: StationaryDistribution
     symmetrizer: Symmetrizer
     big_ref: TransitionMatrix
     defect: float
@@ -169,11 +168,10 @@ def prepare_reference(ref: TransitionMatrix, rational: RationalStationary) -> Pr
     if not report:
         raise ReferenceClassError("reference: " + "; ".join(report.failures))
     sym = build_symmetrizer(rational, ref.edges)
-    big_ref = embed_matrix(ref, sym.embedding)
-    defect = float(np.abs(big_ref.matrix - big_ref.matrix.T).max())
+    defect = _symmetry_defect(sym, ref)
     if defect > SYMMETRY_DEFECT_TOL:
         raise PreconditionFailedError(f"embedded reference asymmetric by {defect}")
-    return PreparedReference(ref, rational, report.stationary, sym, big_ref, defect)
+    return PreparedReference(ref, rational, sym, embed_matrix(ref, sym.embedding), defect)
 
 
 def reduced_identity_test(
@@ -217,20 +215,17 @@ class RiskReport:
         return self.type1 + self.type2_max
 
 
-_Chain = tuple[TransitionMatrix, StationaryDistribution]
-
-
 def _gated_chains(
     prepared: PreparedReference,
     alternatives: Sequence[TransitionMatrix],
     epsilon: float,
-) -> list[_Chain]:
-    """The reference and each alternative, with its stationary law.
+) -> list[TransitionMatrix]:
+    """The reference and each alternative.
 
     Every alternative must share the reference's class and lie farther than
     `epsilon` from it in contrast.
     """
-    chains = [(prepared.ref, prepared.stationary)]
+    chains = [prepared.ref]
     for i, alt in enumerate(alternatives):
         rep = check_reference_class(alt, prepared.rational, prepared.ref.edges)
         if not rep:
@@ -240,7 +235,7 @@ def _gated_chains(
             raise ExclusionRegionError(
                 f"alternative {i} has contrast {k:.6g} <= epsilon {epsilon}"
             )
-        chains.append((alt, rep.stationary))
+        chains.append(alt)
     return chains
 
 
@@ -266,7 +261,7 @@ def _risk_block(
 
 def _risk_at(
     prepared: PreparedReference,
-    chains: Sequence[_Chain],
+    chains: Sequence[TransitionMatrix],
     config: TestConfig,
     trials: int,
     workers: int,
@@ -276,16 +271,20 @@ def _risk_at(
 
     Each chain's trials split into one block per worker; blocks run in
     process or on a pool, and their counts add up the same either way.
+    Every block starts its trials from the stationary law solved here, so
+    pool workers never solve for it again.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     step = trials if workers <= 1 else -(-trials // workers)
     owners, blocks = [], []
-    for c, (chain, law) in enumerate(chains):
+    for c, chain in enumerate(chains):
         chain_base = 2 * (position * len(chains) + c) * trials
         for t0 in range(0, trials, step):
             owners.append(c)
-            blocks.append((prepared, chain, law, config, t0, min(t0 + step, trials), chain_base))
+            blocks.append(
+                (prepared, chain, chain.stationary, config, t0, min(t0 + step, trials), chain_base)
+            )
     if workers <= 1:
         counts = [_risk_block(*block) for block in blocks]
     else:

@@ -155,6 +155,37 @@ class TestIdentityTest:
         assert code == 0
 
 
+    def test_solves_the_stationary_law_once(self, capsys, monkeypatch, tmp_path, ref_path):
+        import markov_id.markov_core as markov_core
+
+        traj = str(tmp_path / "x.txt")
+        run(capsys, "simulate", "--p", ref_path, "-n", "200", "--seed", "21", "--out", traj)
+        calls = []
+        solve = markov_core.stationary_distribution
+        monkeypatch.setattr(
+            markov_core, "stationary_distribution", lambda P: calls.append(P) or solve(P)
+        )
+        code, _, _ = run(
+            capsys, "test", "--ref", ref_path, "--traj", traj, "--epsilon", "0.15", "--seed", "4"
+        )
+        assert code == 0 and len(calls) == 1
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch, tmp_path, ref_path):
+        import markov_id.testing as testing
+
+        def too_big(*args):
+            raise MemoryError("Unable to allocate 18.6 GiB for an array")
+
+        traj = tmp_path / "x.txt"
+        traj.write_text("0\n1\n2\n")
+        monkeypatch.setattr(testing, "embed_matrix", too_big)
+        code, out, err = run(
+            capsys, "test", "--ref", ref_path, "--traj", str(traj), "--epsilon", "0.15", "--seed", "4"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory: Unable to allocate 18.6 GiB for an array\n"
+
+
 class TestRiskAndScan:
     def test_risk_json(self, capsys, ref_path, alt_path):
         code, out, _ = run(

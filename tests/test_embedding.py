@@ -10,21 +10,24 @@ from markov_id import (
     MemorylessEmbedding,
     NotLumpableError,
     PreconditionFailedError,
+    RationalStationary,
     StationaryDistribution,
     TransitionMatrix,
     build_symmetrizer,
     embed_distribution,
     embed_matrix,
     embedded_edge_set,
-    induced_edge_image,
-    is_lumpable,
     is_reversible,
     lump,
     rationalize,
     stationary_distribution,
     symmetry_defect,
 )
-from markov_id.embedding import symmetrizer_from_json_obj, symmetrizer_to_json_obj
+from markov_id.embedding import (
+    _symmetry_defect,
+    symmetrizer_from_json_obj,
+    symmetrizer_to_json_obj,
+)
 from markov_id.generate import (
     random_memoryless_embedding,
     random_reversible_pair,
@@ -50,8 +53,17 @@ class TestLumpingMap:
 class TestMemorylessEmbedding:
     def test_block_normalization_enforced(self):
         lm = LumpingMap(2, np.array([0, 1, 1]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^weights on block 1 sum to 1\.1$"):
             MemorylessEmbedding(lm, np.array([1.0, 0.5, 0.6]))
+
+    @pytest.mark.parametrize("p", [39_011, 876_543])
+    def test_large_uniform_block_sums_to_one(self, p):
+        # a sequential sum of p copies of 1/p misses 1 by 1.08e-12 at
+        # p = 39,011 and by 2.4e-11 at p = 876,543, past the tolerance;
+        # the big block comes second and the assignment is unsorted
+        sym = build_symmetrizer(RationalStationary.from_counts([p, 1]))
+        assert sym.embedding.lumping.assignment[:2].tolist() == [1, 0]
+        assert sym.embedding.weights[1] == 1.0 / p
 
     def test_rejects_zero_weight(self):
         lm = LumpingMap(2, np.array([0, 1, 1]))
@@ -69,7 +81,6 @@ class TestLumpability:
             [[0.2, 0.4, 0.4], [0.3, 0.35, 0.35], [0.3, 0.35, 0.35]]
         )
         lm = LumpingMap(2, np.array([0, 1, 1]))
-        assert is_lumpable(P, lm)
         small = lump(P, lm)
         assert small.matrix == pytest.approx(np.array([[0.2, 0.8], [0.3, 0.7]]), abs=1e-15)
 
@@ -78,13 +89,13 @@ class TestLumpability:
             [[0.2, 0.3, 0.5], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]]
         )
         lm = LumpingMap(2, np.array([0, 1, 1]))
-        assert not is_lumpable(P, lm)
         with pytest.raises(NotLumpableError):
             lump(P, lm)
 
     def test_cyclic_permutation_not_lumpable_when_blocks_split_the_cycle(self):
         P = TransitionMatrix.from_dense([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        assert not is_lumpable(P, LumpingMap(2, np.array([0, 0, 1])))
+        with pytest.raises(NotLumpableError):
+            lump(P, LumpingMap(2, np.array([0, 0, 1])))
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(0, 3))
     @settings(max_examples=80, deadline=None)
@@ -93,7 +104,6 @@ class TestLumpability:
         P = random_stochastic(rng, nx)
         emb = random_memoryless_embedding(rng, nx + extra, nx)
         big = embed_matrix(P, emb)
-        assert is_lumpable(big, emb.lumping)
         assert np.abs(lump(big, emb.lumping).matrix - P.matrix).max() <= 1e-12
 
 
@@ -123,37 +133,21 @@ class TestEdgeMaps:
         assert got.sorted_pairs() == sorted(expected)
         assert got == EdgeSet.from_pairs(lm.source_count, expected)
 
-    def test_embedded_edge_set_blows_up_blocks(self):
+    def test_embedded_edge_set_blows_up_blocks(self, two_state):
         edges = EdgeSet.from_pairs(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
         lm = LumpingMap(2, np.array([0, 1, 1]))
         assert embedded_edge_set(edges, lm) == EdgeSet.complete(3)
         with pytest.raises(IncompatibleStateCountError):
             embedded_edge_set(EdgeSet.complete(3), lm)
+        # the symmetrizer of (1/3, 2/3) embeds the complete 2-state graph
+        # into the complete graph on Delta = 3 states
+        sym = build_symmetrizer(rationalize(two_state.stationary, 16), two_state.edges)
+        assert embedded_edge_set(sym.source_edges, sym.embedding.lumping) == EdgeSet.complete(3)
 
     def test_embedded_edge_set_keeps_missing_edges_missing(self):
         edges = EdgeSet.from_pairs(2, [(0, 0), (0, 1), (1, 0)])
         lm = LumpingMap(2, np.array([0, 1]))
         assert (1, 1) not in embedded_edge_set(edges, lm)
-
-    def test_image_under_identity_is_unchanged(self):
-        edges = EdgeSet.from_pairs(3, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)])
-        lm = LumpingMap(3, np.arange(3))
-        assert induced_edge_image(lm, edges) == edges
-
-    def test_image_under_total_merge_is_one_self_loop(self):
-        edges = EdgeSet.from_pairs(3, [(0, 1), (1, 2), (2, 0)])
-        lm = LumpingMap(1, np.zeros(3, dtype=np.int64))
-        assert induced_edge_image(lm, edges) == EdgeSet.from_pairs(1, [(0, 0)])
-
-    def test_image_of_complete_set_is_complete(self):
-        lm = LumpingMap(2, np.array([0, 1, 1]))
-        assert induced_edge_image(lm, EdgeSet.complete(3)) == EdgeSet.complete(2)
-
-    def test_image_of_embedded_edge_set_recovers_source_edges(self, ref_three_state):
-        rat = rationalize(stationary_distribution(ref_three_state), 16)
-        sym = build_symmetrizer(rat, ref_three_state.edges)
-        lm = sym.embedding.lumping
-        assert induced_edge_image(lm, sym.target_edges) == ref_three_state.edges
 
 
 class TestEmbedMatrix:
@@ -193,8 +187,6 @@ class TestSymmetrizer:
         assert lifted.probs == pytest.approx(np.full(3, 1 / 3), abs=1e-15)
 
     def test_uniform_law_gives_identity_symmetrizer(self):
-        from markov_id import RationalStationary
-
         sym = build_symmetrizer(RationalStationary.from_counts([1, 1, 1, 1]))
         assert sym.delta == 4
         assert sym.embedding.lumping.assignment.tolist() == [0, 1, 2, 3]
@@ -233,6 +225,30 @@ class TestSymmetrizer:
             uniform = StationaryDistribution(np.full(big.state_count, 1.0 / big.state_count))
             assert is_reversible(big, uniform)
 
+    def test_defect_matches_the_embedded_matrix_bit_for_bit(self, rng):
+        # reference form: max |M - M^T| over the Delta x Delta embedded matrix
+        def embedded_defect(sym, P):
+            big = embed_matrix(P, sym.embedding).matrix
+            return float(np.abs(big - big.T).max())
+
+        for _ in range(100):
+            nx = int(rng.integers(2, 8))
+            P, Q, rat, edges = random_reversible_pair(rng, nx, int(rng.integers(nx, 200)))
+            sym = build_symmetrizer(rat, edges)
+            assert symmetry_defect(sym, P) == embedded_defect(sym, P)
+            assert symmetry_defect(sym, Q) == embedded_defect(sym, Q)
+            # off the class the defect is large, and the two forms still agree
+            R = random_stochastic(rng, nx)
+            assert _symmetry_defect(sym, R) == embedded_defect(sym, R) > 1e-6
+
+    def test_defect_at_delta_one_million_stays_on_the_small_chain(self, monkeypatch):
+        # law (123457, 876543) / 10**6: an embedded matrix would take 8 TB
+        P = TransitionMatrix.from_dense([[0.123457, 0.876543], [0.123457, 0.876543]])
+        sym = build_symmetrizer(rationalize(P.stationary, 10**6), P.edges)
+        assert sym.delta == 10**6
+        monkeypatch.setattr("markov_id.embedding.embed_matrix", None)
+        assert symmetry_defect(sym, P) <= 1e-12
+
     def test_defect_rejects_non_reversible_reference(self):
         P = TransitionMatrix.from_dense(
             [[0.1, 0.8, 0.1], [0.1, 0.1, 0.8], [0.8, 0.1, 0.1]]
@@ -243,8 +259,6 @@ class TestSymmetrizer:
             symmetry_defect(sym, P)
 
     def test_defect_rejects_wrong_stationary_law(self, two_state):
-        from markov_id import RationalStationary
-
         sym = build_symmetrizer(RationalStationary.from_counts([1, 1]), two_state.edges)
         with pytest.raises(PreconditionFailedError):
             symmetry_defect(sym, two_state)
@@ -257,8 +271,3 @@ class TestSymmetrizer:
         assert (back.embedding.lumping.assignment == sym.embedding.lumping.assignment).all()
         assert (back.embedding.weights == sym.embedding.weights).all()
         assert back.source_edges == sym.source_edges
-
-    def test_target_edges_world(self, two_state):
-        rat = rationalize(stationary_distribution(two_state), 16)
-        sym = build_symmetrizer(rat, two_state.edges)
-        assert sym.target_edges == EdgeSet.complete(3)

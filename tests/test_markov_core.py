@@ -186,6 +186,42 @@ class TestStationary:
             symmetric = np.abs(flow - flow.T).max() <= 1e-9
             assert is_reversible(P, pi) == symmetric
 
+    def test_lazy_power_fallback_on_birth_death_chain(self, monkeypatch):
+        # down-rate 0.4, up-rate 0.4e-4: the least-squares law fails the
+        # residual check, and the lazy power iteration supplies one that passes
+        import markov_id.markov_core as markov_core
+
+        d, down, up = 8, 0.4, 0.4e-4
+        M = np.diag(np.full(d - 1, up), 1) + np.diag(np.full(d - 1, down), -1)
+        M += np.diag(1.0 - M.sum(axis=1))
+        P = TransitionMatrix.from_dense(M)
+        reached = []
+        fallback = markov_core._lazy_power_stationary
+
+        def counted(chain):
+            reached.append(chain)
+            return fallback(chain)
+
+        monkeypatch.setattr(markov_core, "_lazy_power_stationary", counted)
+        pi = stationary_distribution(P)
+        assert reached == [P]
+        assert np.abs(pi.probs @ P.matrix - pi.probs).max() <= markov_core.STATIONARY_RESIDUAL_TOL
+        assert pi.probs[1] / pi.probs[0] == pytest.approx(up / down, rel=1e-6)
+
+    def test_stationary_property_solves_once_per_matrix(self, two_state, monkeypatch):
+        import markov_id.markov_core as markov_core
+
+        calls = []
+        solve = markov_core.stationary_distribution
+        monkeypatch.setattr(
+            markov_core, "stationary_distribution", lambda P: calls.append(P) or solve(P)
+        )
+        assert two_state.stationary is two_state.stationary
+        assert two_state.stationary.probs == pytest.approx([1 / 3, 2 / 3], abs=1e-12)
+        copy = pickle.loads(pickle.dumps(two_state))
+        assert "stationary" not in vars(copy)  # a copy solves afresh
+        assert calls == [two_state]
+
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
     @settings(max_examples=60, deadline=None)
     def test_residual_on_random_chains(self, seed, n):

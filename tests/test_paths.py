@@ -46,7 +46,7 @@ class TestPathDistribution:
         # (1/6, 1/6, 1/6, 1/2)
         q = path_distribution(two_state, 2)
         assert np.abs(q.probs - np.array([1 / 6, 1 / 6, 1 / 6, 1 / 2])).max() <= 1e-14
-        assert q.prob_of((1, 1)) == pytest.approx(0.5, abs=1e-14)
+        assert q.probs[path_index((1, 1), 2)] == pytest.approx(0.5, abs=1e-14)
 
     def test_length_one_is_the_initial_law(self, two_state):
         q = path_distribution(two_state, 1)
@@ -106,7 +106,7 @@ class TestPushforward:
         pushed = PathMorphism(sym.embedding, 2).pushforward(small)
         # big path (1, 2) lumps to (1, 1) with weight product 1/4:
         # mass = Q(1,1) * 1/4 = 1/2 * 1/4 = 1/8
-        assert pushed.prob_of((1, 2)) == pytest.approx(1 / 8, abs=1e-14)
+        assert pushed.probs[path_index((1, 2), 3)] == pytest.approx(1 / 8, abs=1e-14)
         assert pushed.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_embedding_leaves_law_unchanged(self, two_state):

@@ -195,6 +195,22 @@ class TestTrajectoryIO:
         assert back.states.tolist() == [0, 1, 1, 0]
         assert back.state_count == 2 and back.seed is None
 
+    def test_text_headers_anywhere_and_blank_lines(self):
+        back = trajectory_from_text("\n 2\n# seed=4\n\n0\r\n  # stream=1 states=5 note\n1\n")
+        assert back.states.tolist() == [2, 0, 1]
+        assert (back.state_count, back.seed, back.stream) == (5, 4, 1)
+
+    @pytest.mark.parametrize("text", ["", "# seed=1 states=3\n", "\n  \n"])
+    def test_text_without_states_is_refused(self, text):
+        # no numpy "input contained no data" warning: warnings are errors here
+        with pytest.raises(ValueError, match="states must be a nonempty vector"):
+            trajectory_from_text(text)
+
+    @pytest.mark.parametrize("text", ["0\n1.5\n", "0\nx\n", "0\n1 2\n", "0 1\n1 0\n"])
+    def test_malformed_text_is_refused(self, text):
+        with pytest.raises(ValueError):
+            trajectory_from_text(text)
+
     def test_json_round_trip(self):
         traj = Trajectory(np.array([1, 0, 1]), 2, seed=9)
         back = trajectory_from_json_obj(trajectory_to_json_obj(traj))

@@ -312,7 +312,7 @@ class TestScan:
         self, monkeypatch, ref_three_state, alt_three_state, rational, config
     ):
         import markov_id.embedding as embedding
-        import markov_id.sampling as sampling
+        import markov_id.markov_core as markov_core
         import markov_id.testing as testing
 
         calls = {}
@@ -327,7 +327,7 @@ class TestScan:
         for name in ("check_reference_class", "build_symmetrizer", "embed_matrix"):
             count(testing, name, getattr(testing, name))
         count(testing, "symmetry_defect", embedding.symmetry_defect)
-        count(sampling, "stationary_distribution", sampling.stationary_distribution)
+        count(markov_core, "stationary_distribution", markov_core.stationary_distribution)
         result = sample_complexity_scan(
             ref_three_state, rational, [alt_three_state], config,
             n_grid=[50, 100, 200], trials=5, stop_early=False,
@@ -337,7 +337,8 @@ class TestScan:
         assert calls.get("build_symmetrizer") == 1
         assert calls.get("embed_matrix") == 1
         assert "symmetry_defect" not in calls
-        assert "stationary_distribution" not in calls
+        # one solve per chain (reference and alternative); no trial solves
+        assert calls.get("stationary_distribution") == 2
 
     def test_stream_layout(
         self, monkeypatch, ref_three_state, alt_three_state, rational, config
