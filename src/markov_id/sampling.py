@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import json
 import re
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -173,9 +174,16 @@ def trajectory_from_text(text: str) -> Trajectory:
             elif key == "states":
                 state_count = int(value)
     # np.loadtxt parses every state line in one call; it warns on input with
-    # no data, so a file of headers only skips it.
+    # no data, so a file of headers only skips it. Older numpy releases read
+    # "1.5" as 1 with only a DeprecationWarning; the filter makes them raise
+    # the ValueError that current numpy raises.
     if _STATE_LINE.search(text):
-        states = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+        if table.shape[1] != 1:
+            raise ValueError("a text trajectory has one state per line")
+        states = table[:, 0]
     else:
         states = np.empty(0, dtype=np.int64)
     if state_count is None:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,17 @@ class TestIdentityTest:
         )
         assert (code, out) == (2, "")
         assert err == "error: out of memory: Unable to allocate 18.6 GiB for an array\n"
+
+    @pytest.mark.parametrize("text", ["0\n1.5\n2\n", "0 1 1\n"])
+    def test_malformed_trajectory_exits_2(self, capsys, tmp_path, ref_path, text):
+        traj = tmp_path / "x.txt"
+        traj.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, err = run(
+                capsys, "test", "--ref", ref_path, "--traj", str(traj), "--epsilon", "0.15"
+            )
+        assert (code, out) == (2, "") and err.startswith("error:")
 
 
 class TestRiskAndScan:
